@@ -22,7 +22,8 @@ RPR008   unseeded-rng-reachable      no global/wall-clock RNG reachable from
 RPR009   shared-mutable-capture      no shared mutable state across
                                      ``executor.submit``/``map`` (graph)
 RPR010   hot-path-dense-reachability ``dense_CG``/``dense_AG`` unreachable from
-                                     ``Mapper.map``/``Simulator.run`` (graph)
+                                     ``Mapper.map``/``Simulator.run``/``replay``
+                                     (graph)
 =======  ==========================  ============================================
 
 Findings can be silenced inline (``# repro-lint: disable=RPR003``) or

@@ -29,7 +29,8 @@ RPR009 *shared-mutable-capture*
 
 RPR010 *hot-path-dense-reachability*
     ``dense_CG()``/``dense_AG()`` must not be *reachable* from
-    ``Mapper.map`` or ``Simulator.run``.  This re-founds RPR007 (a path
+    ``Mapper.map``, ``Simulator.run`` or the replay engine's ``replay``.
+    This re-founds RPR007 (a path
     allowlist) as call-graph reachability: instead of asking "is this
     file on the hot-path list", it asks "can the hot entry points
     actually execute this call" — no allowlist at all.  Because dense
@@ -75,6 +76,7 @@ SEEDED_ENTRY_POINTS: tuple[str, ...] = (
 HOT_PATH_ENTRY_POINTS: tuple[str, ...] = (
     "repro.core.mapping.Mapper.map",
     "repro.simmpi.engine.Simulator.run",
+    "repro.simmpi.replay.replay",
 )
 
 
@@ -328,7 +330,7 @@ class RPR010HotPathDenseReachability(ProjectRule):
     rationale: ClassVar[str] = (
         "dense_CG()/dense_AG() materialize O(N^2) matrices; RPR007 "
         "banned them by file path, this rule bans them by call-graph "
-        "reachability from Mapper.map and Simulator.run — no allowlist, "
+        "reachability from Mapper.map, Simulator.run and replay — no allowlist, "
         "just: can the hot path execute this call?"
     )
 
@@ -347,7 +349,7 @@ class RPR010HotPathDenseReachability(ProjectRule):
                     col=dense.col,
                     message=(
                         f"`{dense.name}()` is reachable from hot entry "
-                        "point(s) Mapper.map/Simulator.run — route through "
+                        "point(s) Mapper.map/Simulator.run/replay — route through "
                         "the CSR views (cg_csr/ag_csr) instead of "
                         "materializing the dense matrix"
                     ),

@@ -5,6 +5,9 @@ generator of simulator operations that *is* the application (its
 communication skeleton plus :class:`~repro.simmpi.ops.Compute` phases).
 Profiling an application — the CYPRESS substitute — runs it once on the
 uniform network with a trace recorder and returns its CG/AG matrices.
+An application that is simulated also records its operation stream
+once (:func:`repro.simmpi.replay.record`), which is replayed for every
+mapping.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .._validation import check_positive_int
 from ..simmpi.engine import RankContext, Simulator
 from ..simmpi.network import UniformNetwork
 from ..simmpi.ops import Operation
+from ..simmpi.replay import OpStream, record
 from ..simmpi.tracing import TraceRecorder
 
 __all__ = ["Application", "grid_shape"]
@@ -42,7 +46,8 @@ class Application(abc.ABC):
 
     Subclasses define :attr:`name`, set ``num_ranks`` in ``__init__`` and
     implement :meth:`program`.  The base class provides profiling and
-    caches the resulting communication matrices.
+    caches the resulting communication matrices, and the recorded
+    operation stream once something simulates the application.
     """
 
     #: Display / registry name, overridden by subclasses.
@@ -51,6 +56,7 @@ class Application(abc.ABC):
     def __init__(self, num_ranks: int) -> None:
         self.num_ranks = check_positive_int(num_ranks, "num_ranks")
         self._profile_cache: tuple | None = None
+        self._stream_cache: OpStream | None = None
 
     @abc.abstractmethod
     def program(self, ctx: RankContext) -> Generator[Operation, None, None]:
@@ -73,6 +79,16 @@ class Application(abc.ABC):
         kwargs = {} if dense_limit is None else {"dense_limit": dense_limit}
         cg, ag = recorder.communication_matrices(**kwargs)
         return cg, ag, recorder
+
+    def op_stream(self) -> OpStream:
+        """The program's operation stream, recorded on first use and cached.
+
+        Recorded apart from profiling, so that an application that is
+        profiled and never simulated holds only its CG/AG.
+        """
+        if self._stream_cache is None:
+            self._stream_cache = record(self.num_ranks, self.program)
+        return self._stream_cache
 
     def communication_matrices(
         self,

@@ -7,8 +7,9 @@ This glues the substrates into the paper's pipeline:
    realized cloud topology, with a random constraint vector at the
    requested ratio (paper default 0.2);
 3. **map** with each algorithm (timing its optimization overhead);
-4. **simulate** the application under each mapping with the
-   discrete-event engine, in two modes mirroring the paper's two
+4. **simulate** the application under each mapping by replaying its
+   operation stream, recorded once per app on the first simulation
+   (:mod:`repro.simmpi.replay`), in two modes mirroring the paper's two
    evaluation settings:
 
    * ``"full"``  — compute + communication (the "Amazon EC2" runs of
@@ -33,8 +34,9 @@ from ..cloud.topology import CloudTopology
 from ..core.constraints import random_constraints
 from ..core.mapping import Mapper, Mapping
 from ..core.problem import MappingProblem
-from ..simmpi.engine import SimResult, Simulator
+from ..simmpi.engine import SimResult
 from ..simmpi.network import SimNetwork
+from ..simmpi.replay import replay
 from .checkpoint import CheckpointStore
 
 __all__ = [
@@ -132,6 +134,8 @@ def simulate_mapping(
     """Simulate ``app`` under a fixed mapping.
 
     ``mode="full"`` keeps compute phases; ``mode="comm"`` zeroes them.
+    Replays the app's recorded op stream, bit-identical to running its
+    program on the generator engine.
     """
     if mode not in ("full", "comm"):
         raise ValueError(f"mode must be 'full' or 'comm', got {mode!r}")
@@ -139,12 +143,9 @@ def simulate_mapping(
 
     network = SimNetwork(problem, assignment, contention=contention)
     with get_recorder().span("simulate." + mode, app=app.name):
-        return Simulator(
-            app.num_ranks,
-            app.program,
-            network,
-            compute_scale=1.0 if mode == "full" else 0.0,
-        ).run()
+        return replay(
+            app.op_stream(), network, compute_scale=1.0 if mode == "full" else 0.0
+        )
 
 
 def run_comparison(

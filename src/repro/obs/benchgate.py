@@ -61,6 +61,7 @@ QUICK_BENCH_SCRIPTS: tuple[str, ...] = (
     "bench_fabric.py",
     "bench_serve.py",
     "bench_store.py",
+    "bench_perf_sim.py",
 )
 
 #: ``(bench, n, m)`` — stable across machines, unlike hostnames or paths.

@@ -1,6 +1,8 @@
 """Discrete-event MPI simulator: the reproduction's substitute for the
 paper's real EC2 runs and ns-2 simulations, plus the CYPRESS-style
-profiling and trace-compression substrate.
+profiling and trace-compression substrate.  Programs are recorded once
+(:func:`record`) and replayed per mapping (:func:`replay`); the
+generator :class:`Simulator` is the recorder and the test oracle.
 """
 
 from .collectives import (
@@ -25,6 +27,7 @@ from .engine import DeadlockError, Program, RankContext, SimResult, Simulator
 from .mpi_adapter import MPIRunResult, run_with_mpi
 from .network import SimNetwork, UniformNetwork
 from .ops import Barrier, Compute, Operation, Recv, Send
+from .replay import OpStream, record, replay
 from .tracing import DENSE_LIMIT, TraceRecorder
 
 __all__ = [
@@ -56,6 +59,9 @@ __all__ = [
     "Operation",
     "Recv",
     "Send",
+    "OpStream",
+    "record",
+    "replay",
     "DENSE_LIMIT",
     "TraceRecorder",
 ]

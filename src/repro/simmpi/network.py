@@ -98,11 +98,63 @@ class SimNetwork:
             for (a, b), entry in sorted(self._pair_stats.items())
         ]
 
+    def message_table(
+        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Per-message ``(alpha, busy, link)`` of a recorded stream, and ``stats_on``.
+
+        The vectorised form of :meth:`transfer`'s arithmetic, bit-identical
+        to it, for the replay engine (:mod:`repro.simmpi.replay`).
+        ``alpha`` is the latency term and ``busy`` the bandwidth term.
+        ``link`` is the directed site pair ``p = a * M + b`` when the
+        transfer serializes on it, and ``~p`` (negative) when it does not.
+        ``stats_on`` tells whether the replay must sum stall time per
+        pair for :meth:`adopt_replay` (decided by the last :meth:`reset`).
+        """
+        m = self.latency.shape[0]
+        link = self.assignment[src] * m
+        link += self.assignment[dst]
+        alpha = self.latency.ravel()[link]
+        busy = nbytes / self.bandwidth.ravel()[link]
+        # Diagonal pairs a * M + a are the intra-site ones.
+        free = link % (m + 1) == 0 if self.contention else slice(None)
+        link[free] = ~link[free]
+        return alpha, busy, link, self._stats_on
+
+    def adopt_replay(
+        self, link: np.ndarray, nbytes: np.ndarray, link_free: list[float], stall: list[float]
+    ) -> None:
+        """Take on the state a replay of ``(link, nbytes)`` left behind.
+
+        ``link`` comes from :meth:`message_table`; ``link_free`` and
+        ``stall`` are indexed by site pair.  Afterwards link occupancy
+        and :meth:`link_stats` are what one :meth:`transfer` call per
+        message would have left.
+        """
+        m = self.latency.shape[0]
+        used = np.unique(link[link >= 0]).tolist()
+        self._link_free = {divmod(p, m): link_free[p] for p in used}
+        if not self._stats_on:
+            return
+        pair = np.where(link >= 0, link, ~link)
+        transfers = np.bincount(pair, minlength=m * m)
+        volume = np.bincount(pair, weights=nbytes, minlength=m * m)
+        self._pair_stats = {
+            divmod(p, m): [int(transfers[p]), int(volume[p]), stall[p]]
+            for p in np.flatnonzero(transfers).tolist()
+        }
+
     def transfer(self, src: int, dst: int, nbytes: int, ready: float) -> float:
         """Completion time of an ``nbytes`` transfer ready at ``ready``.
 
         Returns the absolute simulated time at which the receiver holds
         the data.  Updates the link occupancy as a side effect.
+
+        The replay engine (:func:`repro.simmpi.replay._replay`) runs this
+        same link step inline over :meth:`message_table`'s columns and
+        hands the resulting state back through :meth:`adopt_replay`; a
+        change to the timing or contention rule here must be made there
+        too.  ``tests/simmpi/test_replay.py`` holds the two bit-identical.
         """
         a, b = int(self.assignment[src]), int(self.assignment[dst])
         alpha = self.latency[a, b]

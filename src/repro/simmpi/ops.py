@@ -16,6 +16,16 @@ semantics are deliberately simple and deterministic:
 * :class:`Barrier` is an ideal synchronization: all ranks resume at the
   maximum of their arrival times.  Realistic barriers built from messages
   live in :mod:`repro.simmpi.collectives`.
+
+**A program's op stream must not depend on simulated time.**  The engine
+sends nothing into the generator and there are no wildcard receives, so
+a program cannot observe the clock or the network through the
+simulator.  It must not observe them any other way either, for example
+through state a network model mutates.  Then the operations each rank
+yields, and which send every receive matches, are the same under every
+network and mapping, which is what lets :mod:`repro.simmpi.replay`
+record a program once and replay its stream for every mapping.
+Ranks, byte counts and tags are integers, compute times floats.
 """
 
 from __future__ import annotations

@@ -353,3 +353,25 @@ def test_real_tree_graph_covers_every_src_module():
     reach = graph.reachable(entries)
     assert any(node.endswith("GeoDistributedMapper._solve") for node in reach)
     assert any(node.endswith("MultilevelMapper._solve") for node in reach)
+
+
+def test_real_tree_hot_paths_reach_both_simulation_engines():
+    """RPR010 covers both simulation engines' loops."""
+    from pathlib import Path
+
+    from repro.analysis.graph_rules import HOT_PATH_ENTRY_POINTS
+    from repro.analysis.project import summarize_source
+
+    repo = Path(__file__).resolve().parents[2]
+    files = sorted((repo / "src" / "repro").rglob("*.py"))
+    index = ProjectIndex(
+        [
+            summarize_source(p.read_text(encoding="utf-8"), relpath=p.relative_to(repo).as_posix())
+            for p in files
+        ]
+    )
+    graph = build_call_graph(index)
+    entries = [e for pattern in HOT_PATH_ENTRY_POINTS for e in index.expand_entry(pattern)]
+    reach = graph.reachable(entries)
+    assert "repro.simmpi.replay._replay" in reach
+    assert "repro.simmpi.engine.Simulator._run" in reach
