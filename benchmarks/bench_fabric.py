@@ -1,18 +1,13 @@
-"""Perf bench: the process-isolated sweep fabric vs the in-process runner.
+"""Perf bench: the process-isolated sweep fabric on a 32-task demo grid.
 
-Runs the same 32-task demo grid two ways and records both wall-clocks in
-``BENCH_perf.json``:
-
-* ``fabric_sweep``   — :class:`repro.exp.fabric.SweepFabric`, 4 worker
-  processes, spec/shard files, full supervision machinery;
-* ``resilient_sweep`` — :class:`repro.exp.ResilientRunner`, sequential
-  in-process thunks (the pre-fabric baseline).
-
-The point is honesty about the fabric's overhead budget: process
-spawning, JSON control messages, and atomic shard writes cost real
-milliseconds, bought back with crash isolation and (for non-trivial
-tasks) 4-way parallelism.  Payloads are cross-checked for equality
-before any timing is recorded.
+Records the wall-clock of one full ``fabric_sweep`` — 4 worker
+processes, spec/shard files, full supervision machinery — in
+``BENCH_perf.json``.  The point is honesty about the fabric's overhead
+budget: process spawning, JSON control messages, and atomic shard
+writes cost real milliseconds, bought back with crash isolation and
+(for non-trivial tasks) 4-way parallelism.  Before the timing is
+recorded, every merged digest is checked against a direct in-process
+call of the ``demo`` task on the same params.
 
 Run directly::
 
@@ -32,7 +27,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import emit, update_bench_json  # noqa: E402
 
-from repro.exp import ResilientRunner  # noqa: E402
 from repro.exp.fabric import (  # noqa: E402
     FabricConfig,
     SweepFabric,
@@ -63,22 +57,13 @@ def bench_fabric(work: int) -> tuple[float, dict[str, str]]:
     return elapsed, digests
 
 
-def bench_resilient(work: int) -> tuple[float, dict[str, str]]:
-    """The same grid through the in-process runner, sequentially."""
-    specs = demo_specs(NUM_TASKS, work=work)
+def direct_digests(work: int) -> dict[str, str]:
+    """The grid's digests from direct in-process ``demo`` task calls."""
     demo = get_task("demo")
-    thunks = {
-        s.key: (lambda params=s.params: demo(dict(params))) for s in specs
+    return {
+        s.key: demo(dict(s.params))["digest"]
+        for s in demo_specs(NUM_TASKS, work=work)
     }
-    t0 = time.perf_counter()
-    runner = ResilientRunner(timeout_s=120.0, max_retries=0)
-    outcomes = runner.run(thunks)
-    elapsed = time.perf_counter() - t0
-    bad = [k for k, o in outcomes.items() if not o.ok]
-    if bad:
-        raise RuntimeError(f"resilient bench failed: {bad}")
-    digests = {k: o.result["digest"] for k, o in outcomes.items()}
-    return elapsed, digests
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,11 +75,9 @@ def main(argv: list[str] | None = None) -> int:
 
     work = 64 if args.quick else 4096
     t_fabric, d_fabric = bench_fabric(work)
-    t_resilient, d_resilient = bench_resilient(work)
-    if d_fabric != d_resilient:
+    if d_fabric != direct_digests(work):
         raise RuntimeError(
-            "fabric and resilient payloads diverged — the two paths no "
-            "longer run the same tasks"
+            "fabric payloads diverged from direct demo-task calls"
         )
 
     records = [
@@ -105,13 +88,6 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": t_fabric,
             "cost": float(len(d_fabric)),
         },
-        {
-            "bench": "resilient_sweep",
-            "n": NUM_TASKS,
-            "m": 1,
-            "seconds": t_resilient,
-            "cost": float(len(d_resilient)),
-        },
     ]
     lines = [
         "bench                 n      m    seconds",
@@ -119,8 +95,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{r['bench']:<20} {r['n']:>5} {r['m']:>6} {r['seconds']:>10.6f}"
             for r in records
         ),
-        f"fabric/resilient ratio: {t_fabric / t_resilient:.2f}x "
-        f"({NUM_TASKS} tasks, {WORKERS} workers vs sequential in-process)",
     ]
     path = update_bench_json(records)
     emit("bench_fabric", "\n".join(lines))

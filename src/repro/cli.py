@@ -15,9 +15,10 @@ Commands
     and print the improvement table.
 ``robustness``
     Evaluate every mapper against the standard fault suite (outage,
-    brownout, latency spike, flapping link, capacity loss) with the
-    resilient runner: per-cell timeouts, bounded retries, and
-    checkpoint/resume.
+    brownout, latency spike, flapping link, capacity loss).  Each
+    (fault, mapper) cell is a sweep-fabric task, so cells get per-cell
+    deadlines that kill, bounded retries, and resume from the
+    ``--checkpoint`` sweep directory.
 ``trace-report``
     Render a JSON trace captured with ``--trace`` as a span tree.
 ``metrics``
@@ -59,7 +60,7 @@ Examples
     python -m repro map --app LU --mapper geo-distributed
     python -m repro compare --app K-means --constraint-ratio 0.4
     python -m repro robustness --app LU --processes 32 --sites 4 \
-        --checkpoint sweep.json --resume
+        --checkpoint robustness-sweep/ --resume
     python -m repro map --app LU --trace trace.json
     python -m repro trace-report trace.json --max-depth 3
     python -m repro metrics trace.json --format prom
@@ -213,12 +214,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rob.add_argument(
         "--checkpoint",
         default=None,
-        help="JSON checkpoint file (written atomically after every cell)",
+        metavar="DIR",
+        help="sweep directory holding one atomic result shard per cell "
+        "(default: a temporary directory)",
     )
     p_rob.add_argument(
         "--resume",
         action="store_true",
-        help="skip cells already completed in --checkpoint",
+        help="adopt cells already finished in --checkpoint; re-run the rest",
     )
     p_rob.add_argument(
         "--limit",
@@ -230,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout-s",
         type=float,
         default=None,
-        help="per-cell timeout in seconds (default: none)",
+        help="per-cell wall-clock budget; a cell past it gets its worker "
+        "killed (default: none)",
     )
     p_rob.add_argument(
         "--retries", type=int, default=1, help="retries per failed cell"
@@ -719,64 +723,88 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    from .exp.robustness import (
-        RobustnessCell,
-        robustness_scenario,
-        robustness_scenarios,
-        robustness_table,
-    )
-    from .exp.runner import ResilientRunner
+    import tempfile
+    from contextlib import nullcontext
+
+    from .exp.fabric import FabricConfig, FabricError, robustness_specs
+    from .exp.robustness import RobustnessCell, robustness_table
     from .faults import standard_fault_suite
 
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
-    scenario = robustness_scenario(
-        args.app,
-        args.processes,
-        num_sites=args.sites,
-        slack=args.slack,
-        constraint_ratio=args.constraint_ratio,
-        seed=args.seed,
-    )
-    suite = standard_fault_suite(scenario.problem.num_sites)
-    if args.faults:
-        unknown = sorted(set(args.faults) - set(suite))
+    mappers = ["baseline", "greedy"]
+    if args.mpipp:
+        mappers.append("mpipp")
+    mappers.append("geo-distributed")
+    try:
+        suite = list(standard_fault_suite(args.sites))
+        faults = args.faults or suite
+        unknown = sorted(set(faults) - set(suite))
         if unknown:
-            print(
-                f"error: unknown faults {unknown}; available: {sorted(suite)}",
-                file=sys.stderr,
+            raise ValueError(
+                f"unknown faults {unknown}; available: {sorted(suite)}"
             )
-            return 2
-        suite = {name: suite[name] for name in args.faults}
-    mappers = default_mappers(include_mpipp=args.mpipp)
-    thunks = robustness_scenarios(
-        scenario.problem, mappers, suite=suite, seed=args.seed
-    )
-    if args.limit is not None:
-        thunks = dict(list(thunks.items())[: args.limit])
-    runner = ResilientRunner(
-        timeout_s=args.timeout_s,
-        max_retries=args.retries,
-        checkpoint=args.checkpoint,
-    )
-    outcomes = runner.run(thunks, resume=args.resume)
-    cells = [
-        RobustnessCell(**o.result)
-        for o in outcomes.values()
-        if o.ok and o.result is not None
-    ]
+        specs = robustness_specs(
+            app=args.app,
+            processes=args.processes,
+            sites=args.sites,
+            slack=args.slack,
+            faults=faults,
+            mappers=mappers,
+            constraint_ratio=args.constraint_ratio,
+            seed=args.seed,
+        )
+        config = FabricConfig(timeout_s=args.timeout_s, max_retries=args.retries)
+        with (
+            nullcontext(args.checkpoint)
+            if args.checkpoint
+            else tempfile.TemporaryDirectory(prefix="repro-robustness-")
+        ) as sweep_dir:
+            _, report, merged = _fabric_sweep(
+                sweep_dir,
+                specs,
+                config=config,
+                resume=args.resume,
+                limit=args.limit,
+            )
+            _graft_worker_spans(sweep_dir)
+    except (FabricError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rows = [r for r in merged.rows if r["key"] in report.statuses]
+    cells = [RobustnessCell(**r["result"]) for r in rows if r["status"] == "ok"]
     if cells:
         print(robustness_table(cells))
-    failures = [o for o in outcomes.values() if not o.ok]
-    for o in failures:
-        print(f"FAILED {o.key}: {o.error}")
-    replayed = sum(o.from_checkpoint for o in outcomes.values())
+    failures = [r for r in rows if r["status"] != "ok"]
+    for r in failures:
+        print(f"FAILED {r['key']}: {r['error']}")
     print(
-        f"robustness: {len(outcomes)} cells, {replayed} from checkpoint, "
+        f"robustness: {report.total} cells, {report.adopted} from checkpoint, "
         f"{len(failures)} failed"
     )
     return 1 if failures else 0
+
+
+def _graft_worker_spans(sweep_dir) -> None:
+    """Hang the sweep's worker spans under this process's ``fabric.sweep``.
+
+    Cells run in worker processes, so without this a ``--trace`` of the
+    command would hold only the supervisor's span.  The workers' span
+    files are stitched onto this process's clock and attached in place.
+    """
+    from .exp.fabric import stitch_worker_traces
+    from .obs import SpanRecorder, get_recorder, span_from_dict
+
+    rec = get_recorder()
+    if not isinstance(rec, SpanRecorder):
+        return
+    live = next((s for s in reversed(rec.roots) if s.name == "fabric.sweep"), None)
+    stitched = stitch_worker_traces(sweep_dir)["spans"]
+    if live is not None and len(stitched) == 1 and (
+        stitched[0].get("span_id") == live.span_id
+    ):
+        live.children = [span_from_dict(c) for c in stitched[0]["children"]]
 
 
 def _cmd_trace_report(args) -> int:
@@ -1043,59 +1071,102 @@ def _cmd_obs(args) -> int:
     return handler(args)
 
 
+def _fabric_sweep(
+    sweep_dir, specs, *, config, resume: bool, limit: int | None,
+    merge_only: bool = False,
+):
+    """Initialize, run, and merge one sweep: the CLI's only sweep path.
+
+    ``specs`` (or ``None``) is the grid the caller asked for.  A sweep
+    dir without a manifest is initialized from it; an existing one must
+    hold exactly that grid (``None`` accepts whatever it holds).  With
+    ``limit`` only the first K manifest keys run.  Returns ``(initialized,
+    report, merged)``; ``report`` is ``None`` with ``merge_only``.
+    Usage errors raise :class:`FabricError` or :class:`ValueError`.
+    """
+    from .exp.fabric import (
+        FabricError,
+        SweepFabric,
+        load_manifest,
+        load_spec,
+        merge_shards,
+        write_sweep,
+    )
+
+    if limit is not None and limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {limit}")
+    initialized = False
+    try:
+        keys = load_manifest(sweep_dir)
+    except FabricError:
+        if specs is None:
+            raise FabricError(
+                "sweep dir has no manifest; pass --grid to initialize it "
+                "(demo | fig7 | robustness)"
+            ) from None
+        write_sweep(sweep_dir, specs)
+        keys = [s.key for s in specs]
+        initialized = True
+    else:
+        if specs is not None and (
+            keys != [s.key for s in specs]
+            or any(load_spec(sweep_dir, s.key) != s for s in specs)
+        ):
+            raise FabricError(
+                f"{sweep_dir} already holds a different sweep; pick a "
+                "fresh directory or repeat the original arguments"
+            )
+    report = None
+    if not merge_only:
+        selected = keys[:limit] if limit is not None else None
+        report = SweepFabric(sweep_dir, config=config).run(
+            resume=resume, keys=selected
+        )
+    merged = merge_shards(
+        sweep_dir,
+        strict=limit is None and not merge_only,
+        write=limit is None,
+    )
+    return initialized, report, merged
+
+
 def _cmd_sweep(args) -> int:
     from .exp.fabric import (
         ChaosConfig,
         FabricConfig,
         FabricError,
-        SweepFabric,
         demo_specs,
         fig7_specs,
-        load_manifest,
         merge_shards,
         results_equivalent,
         robustness_specs,
         stitch_worker_traces,
-        write_sweep,
     )
 
     try:
-        try:
-            keys = load_manifest(args.sweep_dir)
-        except FabricError:
-            if args.grid is None:
-                print(
-                    "error: sweep dir has no manifest; pass --grid to "
-                    "initialize it (demo | fig7 | robustness)",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.grid == "demo":
-                specs = demo_specs(args.tasks, seed=args.seed)
-            elif args.grid == "fig7":
-                specs = fig7_specs(
-                    app=args.app,
-                    scales=args.scales,
-                    mappers=args.mappers,
-                    seeds=(args.seed,),
-                    sites=args.sites,
-                )
-            else:
-                specs = robustness_specs(
-                    app=args.app,
-                    processes=args.processes,
-                    sites=args.sites,
-                    slack=args.slack,
-                    mappers=args.mappers,
-                    seed=args.seed,
-                )
-            write_sweep(args.sweep_dir, specs)
-            keys = [s.key for s in specs]
-            print(f"initialized sweep: {len(keys)} specs ({args.grid} grid)")
-
-        report = None
+        if args.grid == "demo":
+            specs = demo_specs(args.tasks, seed=args.seed)
+        elif args.grid == "fig7":
+            specs = fig7_specs(
+                app=args.app,
+                scales=args.scales,
+                mappers=args.mappers,
+                seeds=(args.seed,),
+                sites=args.sites,
+            )
+        elif args.grid == "robustness":
+            specs = robustness_specs(
+                app=args.app,
+                processes=args.processes,
+                sites=args.sites,
+                slack=args.slack,
+                mappers=args.mappers,
+                seed=args.seed,
+            )
+        else:
+            specs = None
+        config = None
         if not args.merge_only:
-            chaos = ChaosConfig.parse(args.chaos) if args.chaos else None
             config = FabricConfig(
                 workers=args.workers,
                 timeout_s=args.timeout_s,
@@ -1103,21 +1174,23 @@ def _cmd_sweep(args) -> int:
                 quarantine_after=args.quarantine_after,
                 heartbeat_timeout_s=args.heartbeat_timeout_s,
                 degrade_after_timeouts=args.degrade_after_timeouts,
-                chaos=chaos,
+                chaos=ChaosConfig.parse(args.chaos) if args.chaos else None,
             )
-            selected = keys[: args.limit] if args.limit is not None else None
-            fabric = SweepFabric(args.sweep_dir, config=config)
-            report = fabric.run(resume=args.resume, keys=selected)
+        initialized, report, merged = _fabric_sweep(
+            args.sweep_dir,
+            specs,
+            config=config,
+            resume=args.resume,
+            limit=args.limit,
+            merge_only=args.merge_only,
+        )
+        if initialized:
+            print(f"initialized sweep: {len(specs)} specs ({args.grid} grid)")
+        if report is not None:
             print(report.summary())
             print(f"ok={report.count('ok')}")
-
-        merged = merge_shards(
-            args.sweep_dir,
-            strict=args.limit is None and not args.merge_only,
-            write=args.limit is None,
-        )
         print(merged.summary())
-    except (FabricError, ValueError) as exc:
+    except (FabricError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,14 @@ Quick start::
 """
 
 from .chaos import CHAOS_ACTIONS, ChaosConfig, ChaosInjector
-from .io import atomic_write_json, read_json, sweep_stale_tmp
+from .io import (
+    CheckpointLockError,
+    PathLock,
+    atomic_write_json,
+    fsync_dir,
+    read_json,
+    sweep_stale_tmp,
+)
 from .merge import (
     MergeResult,
     comparable_rows,
@@ -55,10 +62,12 @@ __all__ = [
     "CHAOS_ACTIONS",
     "ChaosConfig",
     "ChaosInjector",
+    "CheckpointLockError",
     "FabricConfig",
     "FabricError",
     "FabricReport",
     "MergeResult",
+    "PathLock",
     "SHARD_STATUSES",
     "SweepFabric",
     "SweepLayout",
@@ -69,6 +78,7 @@ __all__ = [
     "demo_specs",
     "diff_results",
     "fig7_specs",
+    "fsync_dir",
     "get_task",
     "load_manifest",
     "load_result",

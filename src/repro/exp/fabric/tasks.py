@@ -17,12 +17,14 @@ Built-in kinds:
     Map one Fig. 7-style scale scenario with one mapper; optionally
     simulate.  Degrades to the Greedy mapper.
 ``robustness-cell``
-    One (fault x mapper) cell of the robustness harness — the fabric
-    version of ``python -m repro robustness``.  Degrades to Greedy.
+    One (fault x mapper) cell of the robustness harness — what
+    ``python -m repro robustness`` and ``repro sweep --grid robustness``
+    run.  Degrades to Greedy.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -156,6 +158,34 @@ def map_cell_task(params: dict[str, Any]) -> dict[str, Any]:
     return row
 
 
+@functools.lru_cache(maxsize=1)
+def _robustness_problem(
+    app: str,
+    processes: int,
+    sites: int,
+    slack: float,
+    constraint_ratio: float,
+    seed: int,
+) -> Any:
+    """The robustness scenario's problem, built once per worker process.
+
+    Every cell of one sweep shares these params, so a worker profiles
+    the app once instead of once per cell.  The inline
+    :func:`~repro.exp.robustness.evaluate_robustness` shares one problem
+    across all cells the same way, so the cache changes no result.
+    """
+    from ..robustness import robustness_scenario
+
+    return robustness_scenario(
+        app,
+        processes,
+        num_sites=sites,
+        slack=slack,
+        constraint_ratio=constraint_ratio,
+        seed=seed,
+    ).problem
+
+
 @register_task("robustness-cell")
 def robustness_cell_task(params: dict[str, Any]) -> dict[str, Any]:
     """One (fault x mapper) cell of the robustness harness.
@@ -165,17 +195,18 @@ def robustness_cell_task(params: dict[str, Any]) -> dict[str, Any]:
     ``mapper`` (a registry name).
     """
     from ...faults.suite import standard_fault_suite
-    from ..robustness import evaluate_robustness, robustness_scenario
+    from ..robustness import evaluate_robustness
 
-    scenario = robustness_scenario(
+    seed = int(params.get("seed", 0))
+    problem = _robustness_problem(
         str(params.get("app", "LU")),
         int(params["processes"]),
-        num_sites=int(params.get("sites", 4)),
-        slack=float(params.get("slack", 2.0)),
-        constraint_ratio=float(params.get("constraint_ratio", 0.2)),
-        seed=int(params.get("seed", 0)),
+        int(params.get("sites", 4)),
+        float(params.get("slack", 2.0)),
+        float(params.get("constraint_ratio", 0.2)),
+        seed,
     )
-    suite = standard_fault_suite(scenario.problem.num_sites)
+    suite = standard_fault_suite(problem.num_sites)
     fault = str(params["fault"])
     if fault not in suite:
         raise KeyError(
@@ -183,10 +214,10 @@ def robustness_cell_task(params: dict[str, Any]) -> dict[str, Any]:
         )
     mapper = _mapper_from_params(params)
     cells = evaluate_robustness(
-        scenario.problem,
+        problem,
         {str(params.get("mapper", "greedy")): mapper},
         suite={fault: suite[fault]},
-        seed=int(params.get("seed", 0)),
+        seed=seed,
     )
     return cells[0].to_dict()
 
@@ -262,9 +293,14 @@ def robustness_specs(
         "flapping",
     ),
     mappers: Sequence[str] = ("greedy", "geo-distributed"),
+    constraint_ratio: float = 0.2,
     seed: int = 0,
 ) -> list[TaskSpec]:
-    """The (fault x mapper) robustness grid as fabric specs."""
+    """The (fault x mapper) robustness grid as fabric specs.
+
+    Keys read ``robustness/<fault>/<mapper>``; cells are labelled by
+    mapper registry name.
+    """
     return [
         TaskSpec(
             key=f"robustness/{fault}/{mapper}",
@@ -274,6 +310,7 @@ def robustness_specs(
                 "processes": processes,
                 "sites": sites,
                 "slack": slack,
+                "constraint_ratio": constraint_ratio,
                 "fault": fault,
                 "mapper": mapper,
                 "seed": seed,

@@ -21,8 +21,8 @@ The ambient recorder and the current open span both live in
 threads or tasks do not interleave their trees — *provided* the context
 propagates.  Threads started by hand begin with an empty context; code
 that fans work out to a pool should run each task under
-:func:`contextvars.copy_context` (as the Geo mapper's ``workers`` path
-does) if it wants child spans parented correctly.  :class:`SpanRecorder`
+:func:`contextvars.copy_context` if it wants child spans parented
+correctly.  :class:`SpanRecorder`
 serializes tree mutation with a lock, so worker-thread spans are safe
 either way.
 

@@ -40,7 +40,7 @@ class SpanEvent:
     Attributes
     ----------
     name:
-        Event label (e.g. ``"runner.retry"``).
+        Event label (e.g. ``"fabric.attempt_failed"``).
     t:
         Timestamp on the recorder's clock.
     attrs:

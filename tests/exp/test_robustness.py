@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines import GreedyMapper
 from repro.core import GeoDistributedMapper
-from repro.exp import evaluate_robustness, robustness_scenarios, robustness_table
+from repro.exp import evaluate_robustness, robustness_table
 from repro.exp.robustness import robustness_scenario
 
 
@@ -48,16 +48,6 @@ class TestRobustnessHarness:
         assert outage and all(not c.feasible for c in outage)
         assert all("deficit" in c.error for c in outage)
 
-    def test_thunks_match_inline(self, scenario, mappers):
-        cells = evaluate_robustness(scenario.problem, mappers, seed=0)
-        thunks = robustness_scenarios(scenario.problem, mappers, seed=0)
-        assert set(thunks) == {f"{c.fault}/{c.mapper}" for c in cells}
-        # A thunk reproduces the inline cell exactly (order independence).
-        probe = cells[3]
-        row = thunks[f"{probe.fault}/{probe.mapper}"]()
-        assert row["repaired_cost"] == probe.repaired_cost
-        assert row["num_migrated"] == probe.num_migrated
-
     def test_table_renders(self, scenario, mappers):
         cells = evaluate_robustness(scenario.problem, mappers, seed=0)
         text = robustness_table(cells)
@@ -71,7 +61,57 @@ class TestRobustnessHarness:
             robustness_scenario("LU", 16, num_sites=99)
 
 
+def _same_cell(inline: dict, fabric: dict) -> bool:
+    """Field-for-field equality where NaN equals NaN."""
+    assert inline.keys() == fabric.keys()
+    return all(
+        a == b
+        or (isinstance(a, float) and isinstance(b, float) and a != a and b != b)
+        for a, b in ((inline[k], fabric[k]) for k in inline)
+    )
+
+
 class TestRobustnessCli:
+    def test_cli_cells_match_inline_and_sweep_grid(self, tmp_path, capsys):
+        """`repro robustness` runs on the fabric and computes exactly the
+        inline `evaluate_robustness` cells and the `repro sweep --grid
+        robustness` payload.  Zero slack makes the outage cells
+        infeasible, so the NaN fields are compared too."""
+        from repro.cli import main
+        from repro.core import get_mapper
+        from repro.exp.fabric import load_result, results_equivalent
+
+        names = ["baseline", "greedy", "geo-distributed"]
+        params = ["--app", "LU", "--processes", "8", "--sites", "2",
+                  "--slack", "1.0", "--seed", "3"]
+        cli_dir, sweep_dir = tmp_path / "cli", tmp_path / "sweep"
+        assert main(["robustness", *params, "--checkpoint", str(cli_dir)]) == 0
+        assert main(
+            ["sweep", "--sweep-dir", str(sweep_dir), "--grid", "robustness",
+             *params, "--mappers", *names]
+        ) == 0
+        capsys.readouterr()
+        cli_rows = {r["key"]: r for r in load_result(cli_dir)}
+        sweep_rows = {r["key"]: r for r in load_result(sweep_dir)}
+        assert cli_rows.keys() == sweep_rows.keys()
+        assert results_equivalent(
+            [cli_rows[k] for k in sorted(cli_rows)],
+            [sweep_rows[k] for k in sorted(sweep_rows)],
+        )
+
+        scenario = robustness_scenario(
+            "LU", 8, num_sites=2, slack=1.0, seed=3
+        )
+        cells = evaluate_robustness(
+            scenario.problem, {n: get_mapper(n) for n in names}, seed=3
+        )
+        assert len(cells) == len(cli_rows) == 5 * len(names)
+        assert any(not c.feasible for c in cells)
+        for c in cells:
+            row = cli_rows[f"robustness/{c.fault}/{c.mapper}"]
+            assert row["status"] == "ok"
+            assert _same_cell(c.to_dict(), row["result"]), (c, row)
+
     def test_cli_limit_then_resume(self, tmp_path, capsys):
         from repro.cli import main
 

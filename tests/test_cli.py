@@ -120,6 +120,62 @@ def test_robustness_checkpoint_resume_replays(tmp_path, capsys):
     assert "2 from checkpoint" in capsys.readouterr().out
 
 
+def test_robustness_existing_checkpoint_needs_resume(tmp_path, capsys):
+    ckpt = str(tmp_path / "sweep")
+    args = ["robustness", "--processes", "8", "--sites", "2",
+            "--faults", "outage", "--checkpoint", ckpt]
+    assert main(args) == 0
+    capsys.readouterr()
+    # A finished sweep dir is never silently overwritten...
+    assert main(args) == 2
+    assert "resume" in capsys.readouterr().err
+    # ...nor resumed under different arguments.
+    assert main(args + ["--mpipp", "--resume"]) == 2
+    assert "different sweep" in capsys.readouterr().err
+
+
+def test_robustness_trace_holds_worker_cell_spans(tmp_path, capsys):
+    from repro.obs import load_trace, validate_causal_trace
+
+    trace = str(tmp_path / "rob.json")
+    assert main(
+        ["robustness", "--processes", "8", "--sites", "2",
+         "--faults", "outage", "--trace", trace]
+    ) == 0
+    spans = load_trace(trace)
+    validate_causal_trace(spans, epsilon=0.05)
+    assert [s.name for s in spans] == ["fabric.sweep"]
+    cells = [s for s in spans[0].iter() if s.name == "robustness.cell"]
+    assert sorted(c.attrs["mapper"] for c in cells) == [
+        "baseline", "geo-distributed", "greedy",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["robustness", "--limit", "-1"], "--limit must be >= 0"),
+        (["robustness", "--retries", "-1"], "max_retries"),
+        (["robustness", "--timeout-s", "0"], "timeout_s"),
+        (["sweep", "--grid", "demo", "--tasks", "4", "--limit", "-1"],
+         "--limit must be >= 0"),
+        (["sweep", "--grid", "demo", "--tasks", "4", "--retries", "-1"],
+         "max_retries"),
+    ],
+    ids=["robustness-limit", "robustness-retries", "robustness-timeout",
+         "sweep-limit", "sweep-retries"],
+)
+def test_bad_sweep_values_exit_2(tmp_path, capsys, argv, message):
+    """Bad --limit/fabric values fail fast with exit 2, running nothing."""
+    sweep_dir = tmp_path / "sweep"
+    where = (["--sweep-dir"] if argv[0] == "sweep" else ["--checkpoint"])
+    rc = main(argv + where + [str(sweep_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (sweep_dir / "shards").exists()
+
+
 def test_map_trace_round_trips(tmp_path, capsys):
     """--trace writes a schema-valid JSON trace of the whole map run."""
     from repro.obs import load_trace
